@@ -360,7 +360,9 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 	}
 	if apRebuild {
 		n.A, n.a32, n.apGraph, n.apEdgeBlock = nil, nil, nil, nil
-		n.buildAPTable()
+		if err := n.buildAPTable(ctx, workers); err != nil {
+			return nil, nil, err
+		}
 	}
 	res := &DeltaResult{
 		TouchedBlocks: len(touched),
@@ -464,7 +466,9 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	}
 	n.buildLocIndex()
 	n.buildForest()
-	n.buildAPTable()
+	if err := n.buildAPTable(ctx, workers); err != nil {
+		return nil, nil, err
+	}
 
 	// Staleness is judged against the OLD structure: every old component
 	// holding a weight-changed/deleted edge or an insert endpoint.

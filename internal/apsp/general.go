@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hetero"
 	"repro/internal/obs"
-	"repro/internal/sssp"
 )
 
 // BlockAPSP is the per-biconnected-component state of the general
@@ -79,7 +78,9 @@ type Oracle struct {
 	up       []int32
 	upLevels int
 
-	// Relaxations is the total shortest-path work of construction.
+	// Relaxations is the total work of construction: the per-block
+	// Dijkstra edge relaxations of the processing phase, plus one unit per
+	// articulation-point table entry the forest sweep writes (buildAPTable).
 	Relaxations int64
 
 	// BuildPhases times the construction phases of this oracle
@@ -90,8 +91,8 @@ type Oracle struct {
 
 // Options configures oracle construction beyond the graph itself.
 type Options struct {
-	// Workers is the parallelism of the per-block processing phase; < 1
-	// resolves to 1 (sequential).
+	// Workers is the parallelism of the per-block processing phase and of
+	// the articulation-point table sweep; < 1 resolves to 1 (sequential).
 	Workers int
 	// Compact32 stores every distance table (the a×a AP table and each
 	// block's S^r) as float32 instead of float64, halving the oracle's
@@ -107,7 +108,7 @@ type Options struct {
 
 // NewOracle builds the oracle sequentially.
 func NewOracle(g *graph.Graph) *Oracle {
-	o, _ := newOracle(context.Background(), g, false, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	o, _ := newOracle(context.Background(), g, 1, false, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewEarAPSP(sub), nil
 	})
 	return o
@@ -120,7 +121,7 @@ func NewOracleOpts(ctx context.Context, g *graph.Graph, opts Options) (*Oracle, 
 	if workers < 1 {
 		workers = 1
 	}
-	return newOracle(ctx, g, opts.Compact32, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	return newOracle(ctx, g, workers, opts.Compact32, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewEarAPSPParallelCtx(c, sub, workers)
 	})
 }
@@ -128,25 +129,30 @@ func NewOracleOpts(ctx context.Context, g *graph.Graph, opts Options) (*Oracle, 
 // NewOracleParallel builds the oracle with the per-block processing phase
 // parallelised over real goroutine workers (each block's per-source
 // Dijkstra loop is itself the unit of work, mirroring the paper's
-// per-component work-units).
+// per-component work-units); the articulation-point table's per-source
+// forest sweeps fan out over the same workers.
 func NewOracleParallel(g *graph.Graph, workers int) *Oracle {
 	o, _ := NewOracleParallelCtx(context.Background(), g, workers)
 	return o
 }
 
 // NewOracleParallelCtx is NewOracleParallel with cooperative cancellation:
-// the build checks ctx between biconnected components and between the
-// per-source Dijkstra units inside each component, so cancelling a request
-// or hitting a deadline abandons a long build promptly. On cancellation it
-// returns a nil oracle and the context error; no build metrics are
+// the build checks ctx between biconnected components, between the
+// per-source Dijkstra units inside each component, and between the
+// per-source sweeps of the articulation-point table, so cancelling a
+// request or hitting a deadline abandons a long build promptly. The
+// bcc and forest phases run to completion once started. On cancellation
+// it returns a nil oracle and the context error; no build metrics are
 // recorded for abandoned builds. With a background context it never fails.
 func NewOracleParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Oracle, error) {
-	return newOracle(ctx, g, false, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	return newOracle(ctx, g, workers, false, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewEarAPSPParallelCtx(c, sub, workers)
 	})
 }
 
-func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
+// newOracle runs the four build phases; workers parallelises the AP-table
+// sweep (mk owns the per-block parallelism).
+func newOracle(ctx context.Context, g *graph.Graph, workers int, compact bool, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
@@ -177,8 +183,11 @@ func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(contex
 	o.buildForest()
 	stop()
 	stop = phases.Start("aptable")
-	o.buildAPTable()
+	err := o.buildAPTable(ctx, workers)
 	stop()
+	if err != nil {
+		return nil, err
+	}
 	global := obs.Default.Phases("apsp.build")
 	for _, name := range []string{"bcc", "blocks", "forest", "aptable"} {
 		global.Record(name, phases.Get(name))
@@ -303,45 +312,6 @@ func (o *Oracle) gatewayCut(b, t int32) int32 {
 		cutNode = o.nodeParent[b]
 	}
 	return cutNode - numB
-}
-
-// buildAPTable computes the a×a articulation point distance table by
-// running Dijkstra from each AP over the "AP graph": one vertex per AP,
-// and, for every block, an edge between each pair of its APs weighted by
-// their in-block distance (Section 2.2, Stage 2).
-func (o *Oracle) buildAPTable() {
-	a := o.numA
-	o.A = make([]graph.Weight, a*a)
-	if a == 0 {
-		if o.compact {
-			o.a32, o.A = compressTable(o.A), nil
-		}
-		return
-	}
-	b := graph.NewBuilder(a)
-	for bi, blk := range o.Blocks {
-		cuts := o.BCT.BlockCuts[bi]
-		for i := 0; i < len(cuts); i++ {
-			for j := i + 1; j < len(cuts); j++ {
-				u := o.BCT.CutVertices[cuts[i]]
-				v := o.BCT.CutVertices[cuts[j]]
-				w := blk.QueryParent(u, v)
-				if w < Inf {
-					b.AddEdge(cuts[i], cuts[j], w)
-					o.apEdgeBlock = append(o.apEdgeBlock, int32(bi))
-				}
-			}
-		}
-	}
-	o.apGraph = b.Build()
-	sc := sssp.NewScratch(a)
-	for s := 0; s < a; s++ {
-		o.Relaxations += sssp.DistancesOnly(o.apGraph, int32(s), o.A[s*a:(s+1)*a], sc)
-	}
-	if o.compact {
-		o.a32 = compressTable(o.A)
-		o.A = nil
-	}
 }
 
 // compressTable converts a float64 distance table to the compact float32

@@ -1,6 +1,8 @@
 package apsp
 
 import (
+	"context"
+
 	"repro/internal/bcc"
 	"repro/internal/graph"
 	"repro/internal/hetero"
@@ -43,7 +45,7 @@ func NewOracleSim(g *graph.Graph, devices []*hetero.Device) (*Oracle, *hetero.Sc
 	}
 	o.buildLocIndex()
 	o.buildForest()
-	o.buildAPTable()
+	_ = o.buildAPTable(context.Background(), 1) // never fails without a deadline
 	return o, sched
 }
 
