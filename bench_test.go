@@ -408,7 +408,7 @@ func BenchmarkOracleQuery(b *testing.B) {
 
 // --- SSSP kernel benches ---------------------------------------------------
 
-// BenchmarkSSSPHeap / Dial / Frontier / BFS compare the single-source
+// BenchmarkSSSPHeap / Frontier compare the single-source
 // kernels on the same reduced graph (the processing phase's unit of work).
 func BenchmarkSSSPHeap(b *testing.B) {
 	g := ablationGraph()
@@ -422,20 +422,6 @@ func BenchmarkSSSPHeap(b *testing.B) {
 	}
 }
 
-func BenchmarkSSSPDial(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	ok, maxW := sssp.IntegralWeights(r)
-	if !ok {
-		b.Skip("non-integral weights")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.Dial(r, int32(i%r.NumVertices()), maxW)
-	}
-}
-
 func BenchmarkSSSPFrontier(b *testing.B) {
 	g := ablationGraph()
 	red := ear.Reduce(g, ear.APSP)
@@ -443,16 +429,6 @@ func BenchmarkSSSPFrontier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sssp.FrontierSSSP(r, int32(i%r.NumVertices()))
-	}
-}
-
-func BenchmarkSSSPDeltaStepping(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.DeltaStepping(r, int32(i%r.NumVertices()), 16)
 	}
 }
 

@@ -37,9 +37,6 @@ func (o *Oracle) buildAPTable(ctx context.Context, workers int) error {
 			return err
 		}
 	}
-	if o.compact {
-		o.a32, o.A = compressTable(o.A), nil
-	}
 	return nil
 }
 

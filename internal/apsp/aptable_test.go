@@ -164,7 +164,7 @@ func TestNewOracleCancelledInAPPhase(t *testing.T) {
 	defer cancel()
 	blocks, built := len(NewOracle(g).Blocks), 0
 	builds := obs.Default.Counter("apsp.builds").Value()
-	o, err := newOracle(ctx, g, 2, false, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	o, err := newOracle(ctx, g, 2, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		if built++; built == blocks {
 			cancel()
 		}

@@ -15,7 +15,6 @@ package apsp
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/ear"
 	"repro/internal/graph"
@@ -34,11 +33,9 @@ type EarAPSP struct {
 	G   *graph.Graph
 	Red *ear.Reduced
 	// SR is the nr×nr row-major distance table over reduced vertices
-	// (S^r[s,t] in the paper). When the owning oracle was built with
-	// Options.Compact32 the table lives in sr32 instead and SR is nil.
-	SR   []graph.Weight
-	sr32 []float32
-	nr   int
+	// (S^r[s,t] in the paper).
+	SR []graph.Weight
+	nr int
 	// Relaxations is the total Dijkstra work of the processing phase,
 	// the work measure the virtual-clock devices charge. sweeps counts
 	// frontier iterations when the GPU-structured kernel produced SR.
@@ -130,28 +127,7 @@ func NewEarAPSPSim(g *graph.Graph, devices []*hetero.Device) (*EarAPSP, *hetero.
 }
 
 // srAt returns S^r between two reduced IDs.
-func (a *EarAPSP) srAt(x, y int32) graph.Weight {
-	if a.sr32 != nil {
-		v := a.sr32[int(x)*a.nr+int(y)]
-		if v > math.MaxFloat32 { // the +Inf32 sentinel reads back as exact Inf
-			return Inf
-		}
-		return graph.Weight(v)
-	}
-	return a.SR[int(x)*a.nr+int(y)]
-}
-
-// compress moves the S^r table to float32 storage and drops the float64
-// copy. See Options.Compact32 for the rounding and Inf-sentinel policy.
-// Idempotent; called once per block at build/load/delta time, never on the
-// query path.
-func (a *EarAPSP) compress() {
-	if a.sr32 != nil || a.SR == nil {
-		return
-	}
-	a.sr32 = compressTable(a.SR)
-	a.SR = nil
-}
+func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[int(x)*a.nr+int(y)] }
 
 // Query returns the shortest-path distance between any two original
 // vertices, applying the Section 2.1.3 case analysis:

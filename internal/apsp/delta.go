@@ -326,7 +326,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 
 	n := &Oracle{
 		G: newG, Dec: o.Dec, BCT: o.BCT, numA: o.numA,
-		A: o.A, a32: o.a32, compact: o.compact, apGraph: o.apGraph, apEdgeBlock: o.apEdgeBlock,
+		A: o.A, apGraph: o.apGraph, apEdgeBlock: o.apEdgeBlock,
 		nodeParent: o.nodeParent, nodeDepth: o.nodeDepth, nodeRoot: o.nodeRoot,
 		up: o.up, upLevels: o.upLevels, loc: o.loc,
 		Relaxations: o.Relaxations,
@@ -349,9 +349,6 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		// local-ID assignment, so only the stamp needs refreshing.
 		blk.bi = int32(bi)
 		blk.loc = n.loc
-		if n.compact {
-			blk.Ear.compress()
-		}
 		n.Blocks[bi] = blk
 		n.Relaxations += blk.Ear.Relaxations
 		if len(o.BCT.BlockCuts[bi]) >= 2 {
@@ -359,7 +356,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		}
 	}
 	if apRebuild {
-		n.A, n.a32, n.apGraph, n.apEdgeBlock = nil, nil, nil, nil
+		n.A, n.apGraph, n.apEdgeBlock = nil, nil, nil
 		if err := n.buildAPTable(ctx, workers); err != nil {
 			return nil, nil, err
 		}
@@ -391,7 +388,6 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	bct := bcc.BuildBlockCutTree(newG, dec)
 	n := &Oracle{
 		G: newG, Dec: dec, BCT: bct, numA: len(bct.CutVertices),
-		compact:     o.compact,
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},
 	}
@@ -448,7 +444,6 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 			}
 		}
 		if shared != nil {
-			// A reused Ear from a compact oracle is already compressed.
 			n.Blocks[ci] = &BlockAPSP{Sub: sub, Ear: shared}
 			reused++
 			continue
@@ -456,9 +451,6 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		blk, err := buildBlock(ctx, sub, workers)
 		if err != nil {
 			return nil, nil, err
-		}
-		if n.compact {
-			blk.Ear.compress()
 		}
 		n.Blocks[ci] = blk
 		n.Relaxations += blk.Ear.Relaxations
@@ -505,8 +497,7 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 
 // buildBlock constructs one BlockAPSP from its subgraph. The caller is
 // responsible for stamping the block with its ID and the oracle's shared
-// vertex index (directly or via buildLocIndex) and, in compact mode, for
-// compressing the fresh Ear.
+// vertex index (directly or via buildLocIndex).
 func buildBlock(ctx context.Context, sub *graph.Subgraph, workers int) (*BlockAPSP, error) {
 	ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
 	if err != nil {

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"context"
-	"math"
 	"math/bits"
 
 	"repro/internal/bcc"
@@ -49,21 +48,13 @@ type Oracle struct {
 	Blocks []*BlockAPSP
 
 	// A is the articulation-point table, a×a row-major over BCT.CutVertices
-	// indices; in compact mode it lives in a32 instead (float32, +Inf for
-	// unreachable) and A is nil. apGraph is the graph it was computed on
-	// (one vertex per AP, per-block clique edges), retained for path
-	// reconstruction; apEdgeBlock maps each of its edges to the
-	// contributing block.
+	// indices. apGraph is the graph it was computed on (one vertex per AP,
+	// per-block clique edges), retained for path reconstruction;
+	// apEdgeBlock maps each of its edges to the contributing block.
 	A           []graph.Weight
-	a32         []float32
 	numA        int
 	apGraph     *graph.Graph
 	apEdgeBlock []int32
-
-	// compact records that every distance table (A and each block's S^r)
-	// is stored as float32 — half the cache footprint, with the tolerance
-	// policy documented on Options.Compact32.
-	compact bool
 
 	// loc is the flat parent→local vertex index shared by every block.
 	loc *locIndex
@@ -89,41 +80,12 @@ type Oracle struct {
 	BuildPhases *obs.Phases
 }
 
-// Options configures oracle construction beyond the graph itself.
-type Options struct {
-	// Workers is the parallelism of the per-block processing phase and of
-	// the articulation-point table sweep; < 1 resolves to 1 (sequential).
-	Workers int
-	// Compact32 stores every distance table (the a×a AP table and each
-	// block's S^r) as float32 instead of float64, halving the oracle's
-	// dominant memory term a² + Σ nr_i². Distances are computed in float64
-	// and rounded once on store, so each table entry carries at most one
-	// float32 rounding (relative error ≤ 2⁻²⁴ ≈ 6e-8); a query combines at
-	// most three table entries plus exact chain prefixes, so query results
-	// stay within ~1e-6 relative error of the float64 oracle (the
-	// differential sweep in internal/check enforces 1e-5). Unreachable
-	// entries are stored as +Inf and read back as the exact Inf sentinel.
-	Compact32 bool
-}
-
 // NewOracle builds the oracle sequentially.
 func NewOracle(g *graph.Graph) *Oracle {
-	o, _ := newOracle(context.Background(), g, 1, false, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	o, _ := newOracle(context.Background(), g, 1, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewEarAPSP(sub), nil
 	})
 	return o
-}
-
-// NewOracleOpts builds the oracle under ctx with explicit options; it is
-// the constructor behind the facade's APSPOptions.
-func NewOracleOpts(ctx context.Context, g *graph.Graph, opts Options) (*Oracle, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return newOracle(ctx, g, workers, opts.Compact32, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSPParallelCtx(c, sub, workers)
-	})
 }
 
 // NewOracleParallel builds the oracle with the per-block processing phase
@@ -145,20 +107,20 @@ func NewOracleParallel(g *graph.Graph, workers int) *Oracle {
 // it returns a nil oracle and the context error; no build metrics are
 // recorded for abandoned builds. With a background context it never fails.
 func NewOracleParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Oracle, error) {
-	return newOracle(ctx, g, workers, false, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	return newOracle(ctx, g, workers, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewEarAPSPParallelCtx(c, sub, workers)
 	})
 }
 
 // newOracle runs the four build phases; workers parallelises the AP-table
 // sweep (mk owns the per-block parallelism).
-func newOracle(ctx context.Context, g *graph.Graph, workers int, compact bool, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
+func newOracle(ctx context.Context, g *graph.Graph, workers int, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
 	bct := bcc.BuildBlockCutTree(g, dec)
 	stop()
-	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), compact: compact, BuildPhases: phases}
+	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), BuildPhases: phases}
 	stop = phases.Start("blocks")
 	subs := dec.Subgraphs(g)
 	o.Blocks = make([]*BlockAPSP, len(subs))
@@ -169,9 +131,6 @@ func newOracle(ctx context.Context, g *graph.Graph, workers int, compact bool, m
 		ea, err := mk(ctx, sub.G)
 		if err != nil {
 			return nil, err
-		}
-		if compact {
-			ea.compress()
 		}
 		blk := &BlockAPSP{Sub: sub, Ear: ea}
 		o.Relaxations += blk.Ear.Relaxations
@@ -314,36 +273,8 @@ func (o *Oracle) gatewayCut(b, t int32) int32 {
 	return cutNode - numB
 }
 
-// compressTable converts a float64 distance table to the compact float32
-// form: finite entries round once, the Inf sentinel becomes +Inf (which
-// float32 represents exactly) so reads can restore it losslessly.
-func compressTable(t []graph.Weight) []float32 {
-	out := make([]float32, len(t))
-	for i, v := range t {
-		if v >= Inf {
-			out[i] = float32(math.Inf(1))
-		} else {
-			out[i] = float32(v)
-		}
-	}
-	return out
-}
-
-// apAt reads the AP table in either precision. Compact entries above
-// MaxFloat32 are the stored +Inf and read back as the exact Inf sentinel.
-func (o *Oracle) apAt(i, j int32) graph.Weight {
-	if o.a32 != nil {
-		v := o.a32[int(i)*o.numA+int(j)]
-		if v > math.MaxFloat32 {
-			return Inf
-		}
-		return graph.Weight(v)
-	}
-	return o.A[int(i)*o.numA+int(j)]
-}
-
-// Compact reports whether the oracle stores its tables as float32.
-func (o *Oracle) Compact() bool { return o.compact }
+// apAt reads the AP table entry for AP indices i, j.
+func (o *Oracle) apAt(i, j int32) graph.Weight { return o.A[int(i)*o.numA+int(j)] }
 
 // Query returns d_G(u, v) for arbitrary vertices. Out-of-range vertices
 // report Inf silently; new code should prefer QueryChecked, which surfaces

@@ -67,11 +67,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 	md.U64(uint64(o.G.NumVertices()))
 	md.U64(uint64(len(o.Blocks)))
 	md.U64(uint64(o.numA))
-	var flags uint32
-	if o.compact {
-		flags |= metaFlagCompact
-	}
-	md.U32(flags)
+	md.U32(0) // flags
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
@@ -90,13 +86,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 			continue
 		}
 		blk.Ear.Red.EncodeSnapshot(bl)
-		if o.compact {
-			bl.U32(tableKindF32)
-			bl.F32s(blk.Ear.sr32)
-		} else {
-			bl.U32(tableKindF64)
-			bl.F64s(blk.Ear.SR)
-		}
+		EncodeTable(bl, blk.Ear.SR)
 	}
 
 	return sw.WriteTo(w)
@@ -108,14 +98,13 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 // distance rows (BlockRow) for the internal row RPC; it cannot answer
 // whole-graph queries — stitching across blocks is the frontend's job.
 type ShardBlocks struct {
-	meta    ShardMeta
-	g       *graph.Graph
-	dec     *bcc.Decomposition
-	bct     *bcc.BlockCutTree
-	blocks  []*BlockAPSP // Ear nil for blocks this shard does not own
-	owned   []bool
-	ownedN  int
-	compact bool
+	meta   ShardMeta
+	g      *graph.Graph
+	dec    *bcc.Decomposition
+	bct    *bcc.BlockCutTree
+	blocks []*BlockAPSP // Ear nil for blocks this shard does not own
+	owned  []bool
+	ownedN int
 }
 
 // Meta returns the shard identity the snapshot was carved under.
@@ -208,8 +197,8 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(metaFlagCompact) != 0 {
-		return nil, snapshot.Corruptf("apsp: unknown shard meta flags %#x", flags)
+	if err := CheckTableFlags(flags); err != nil {
+		return nil, err
 	}
 	if meta.Shard < 0 || meta.NumShards < 1 || meta.Shard >= meta.NumShards {
 		return nil, snapshot.Corruptf("apsp: shard %d of %d out of range", meta.Shard, meta.NumShards)
@@ -255,10 +244,7 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 		return nil, err
 	}
 
-	s = &ShardBlocks{
-		meta: meta, g: g, dec: dec, bct: bct,
-		owned: owned, compact: flags&metaFlagCompact != 0,
-	}
+	s = &ShardBlocks{meta: meta, g: g, dec: dec, bct: bct, owned: owned}
 	bd, err := sr.Section("blocks")
 	if err != nil {
 		return nil, err
@@ -278,28 +264,14 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 		}
 		nr := red.R.NumVertices()
 		ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-		var srLen int
-		switch kind := bd.U32(); kind {
-		case tableKindF64:
-			if s.compact {
-				return nil, snapshot.Corruptf("apsp: block %d stores float64 in a compact shard snapshot", bi)
-			}
-			ea.SR = bd.F64s()
-			srLen = len(ea.SR)
-		case tableKindF32:
-			if !s.compact {
-				return nil, snapshot.Corruptf("apsp: block %d stores float32 in a non-compact shard snapshot", bi)
-			}
-			ea.sr32 = bd.F32s()
-			srLen = len(ea.sr32)
-		default:
-			return nil, snapshot.Corruptf("apsp: block %d has unknown table kind %d", bi, kind)
+		if ea.SR, err = DecodeTable(bd); err != nil {
+			return nil, fmt.Errorf("apsp: block %d: %w", bi, err)
 		}
 		if err := bd.Err(); err != nil {
 			return nil, err
 		}
-		if srLen != nr*nr {
-			return nil, snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, srLen, nr)
+		if len(ea.SR) != nr*nr {
+			return nil, snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, len(ea.SR), nr)
 		}
 		blk.Ear = ea
 	}
@@ -317,11 +289,8 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	return s, nil
 }
 
-// APTableRaw exposes the articulation-point table in its stored
-// precision — exactly one of the returns is non-nil (float64 table, or
-// the compact float32 one; both nil only when the graph has no
-// articulation points and the oracle is compact). The shard planner
-// copies it into the plan manifest so the frontend's table reads are
-// bit-identical to the monolith's apAt. Read-only: callers must not
-// mutate the returned slices.
-func (o *Oracle) APTableRaw() ([]graph.Weight, []float32) { return o.A, o.a32 }
+// APTableRaw exposes the articulation-point table, a×a row-major. The
+// shard planner copies it into the plan manifest so the frontend's table
+// reads are bit-identical to the monolith's apAt. Read-only: callers must
+// not mutate the returned slice.
+func (o *Oracle) APTableRaw() []graph.Weight { return o.A }

@@ -42,24 +42,70 @@ import (
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
 //
-// v2 adds compact (float32) table support: meta gains a trailing flags
-// word, and the blocks/aptable sections tag every distance table with a
-// storage-kind word (0 = float64, 1 = float32). v1 snapshots are still
-// read — they simply carry no flags and always-float64 tables.
+// v2 added a trailing flags word to meta and a storage-kind word before
+// every distance table in the blocks/aptable sections. This build writes
+// flags 0 and kind tableKindF64 only, and still reads v1 snapshots (no
+// flags, untagged float64 tables). The float32 table mode that used the
+// compact flag and tableKindF32 is gone: such payloads are rejected with
+// ErrFloat32Tables, a snapshot.ErrVersionSkew.
 const oracleFormatVersion = 2
 
 // oracleMinReadVersion is the oldest payload layout this build still
 // decodes.
 const oracleMinReadVersion = 1
 
-// Meta flag bits (v2+).
+// metaFlagCompact marks a payload written by the removed float32 table
+// mode (v2 meta flags word); no other flag bit was ever defined.
 const metaFlagCompact = 1 << 0
 
-// Table storage-kind tags (v2+ blocks/aptable sections).
+// Table storage-kind tags (v2+ blocks/aptable sections). Only float64
+// tables are written; tableKindF32 is recognised so it can be rejected as
+// version skew rather than corruption.
 const (
 	tableKindF64 = 0
 	tableKindF32 = 1
 )
+
+// ErrFloat32Tables reports a snapshot, shard snapshot, or plan written
+// with float32 distance tables. It wraps snapshot.ErrVersionSkew: the
+// bytes are well formed, but this build no longer has a reader for them.
+var ErrFloat32Tables = fmt.Errorf("apsp: float32 tables are no longer supported: %w", snapshot.ErrVersionSkew)
+
+// CheckTableFlags applies the flags-word policy shared by oracle
+// snapshots, shard snapshots and shard plans: unknown bits are
+// corruption, the compact bit is ErrFloat32Tables. Writers write 0.
+func CheckTableFlags(flags uint32) error {
+	if flags&^uint32(metaFlagCompact) != 0 {
+		return snapshot.Corruptf("apsp: unknown flags %#x", flags)
+	}
+	if flags != 0 {
+		return ErrFloat32Tables
+	}
+	return nil
+}
+
+// EncodeTable writes a distance table with its storage-kind tag, the
+// table encoding shared by oracle snapshots (v2+), shard snapshots and
+// shard plans.
+func EncodeTable(e *snapshot.Encoder, t []graph.Weight) {
+	e.U32(tableKindF64)
+	e.F64s(t)
+}
+
+// DecodeTable reads a table written by EncodeTable. A float32 kind tag
+// is ErrFloat32Tables; any other unknown tag is corruption.
+func DecodeTable(d *snapshot.Decoder) ([]graph.Weight, error) {
+	switch kind := d.U32(); {
+	case d.Err() != nil:
+		return nil, d.Err()
+	case kind == tableKindF64:
+		return d.F64s(), nil
+	case kind == tableKindF32:
+		return nil, ErrFloat32Tables
+	default:
+		return nil, snapshot.Corruptf("apsp: unknown table kind %d", kind)
+	}
+}
 
 // WriteTo serialises the oracle as a snapshot container, implementing
 // io.WriterTo. It records the time spent under obs.Default's "snapshot"
@@ -81,11 +127,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 	meta.U64(uint64(len(o.Blocks)))
 	meta.U64(uint64(o.numA))
 	meta.I64(o.Relaxations)
-	var flags uint32
-	if o.compact {
-		flags |= metaFlagCompact
-	}
-	meta.U32(flags)
+	meta.U32(0) // flags
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
@@ -99,13 +141,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		blk.Ear.Red.EncodeSnapshot(bl)
-		if o.compact {
-			bl.U32(tableKindF32)
-			bl.F32s(blk.Ear.sr32)
-		} else {
-			bl.U32(tableKindF64)
-			bl.F64s(blk.Ear.SR)
-		}
+		EncodeTable(bl, blk.Ear.SR)
 		bl.I64(blk.Ear.Relaxations)
 		bl.U64(uint64(blk.Ear.sweeps))
 	}
@@ -116,13 +152,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 	fe.I32s(o.nodeRoot)
 
 	ae := sw.Section("aptable")
-	if o.compact {
-		ae.U32(tableKindF32)
-		ae.F32s(o.a32)
-	} else {
-		ae.U32(tableKindF64)
-		ae.F64s(o.A)
-	}
+	EncodeTable(ae, o.A)
 	if o.apGraph != nil {
 		ae.U32(1)
 		o.apGraph.EncodeSnapshot(ae)
@@ -186,8 +216,8 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(metaFlagCompact) != 0 {
-		return nil, snapshot.Corruptf("apsp: unknown meta flags %#x", flags)
+	if err := CheckTableFlags(flags); err != nil {
+		return nil, err
 	}
 
 	gd, err := sr.Section("graph")
@@ -218,7 +248,6 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	}
 	o = &Oracle{
 		G: g, Dec: dec, BCT: bct, numA: int(numA),
-		compact:     flags&metaFlagCompact != 0,
 		Relaxations: relax,
 		BuildPhases: &obs.Phases{},
 	}
@@ -311,34 +340,20 @@ func (o *Oracle) decodeBlocks(sr *snapshot.Reader, ver uint32) error {
 		}
 		nr := red.R.NumVertices()
 		ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-		var srLen int
-		kind := uint32(tableKindF64)
 		if ver >= 2 {
-			kind = bd.U32()
-		}
-		switch kind {
-		case tableKindF64:
-			if o.compact {
-				return snapshot.Corruptf("apsp: block %d stores float64 in a compact snapshot", bi)
+			if ea.SR, err = DecodeTable(bd); err != nil {
+				return fmt.Errorf("apsp: block %d: %w", bi, err)
 			}
+		} else {
 			ea.SR = bd.F64s()
-			srLen = len(ea.SR)
-		case tableKindF32:
-			if !o.compact {
-				return snapshot.Corruptf("apsp: block %d stores float32 in a non-compact snapshot", bi)
-			}
-			ea.sr32 = bd.F32s()
-			srLen = len(ea.sr32)
-		default:
-			return snapshot.Corruptf("apsp: block %d has unknown table kind %d", bi, kind)
 		}
 		ea.Relaxations = bd.I64()
 		sweeps := bd.U64()
 		if err := bd.Err(); err != nil {
 			return err
 		}
-		if srLen != nr*nr {
-			return snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, srLen, nr)
+		if len(ea.SR) != nr*nr {
+			return snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, len(ea.SR), nr)
 		}
 		if sweeps > 1<<40 {
 			return snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
@@ -397,33 +412,19 @@ func (o *Oracle) decodeAPTable(sr *snapshot.Reader, ver uint32) error {
 	if err != nil {
 		return err
 	}
-	kind := uint32(tableKindF64)
 	if ver >= 2 {
-		kind = ad.U32()
-	}
-	var aLen int
-	switch kind {
-	case tableKindF64:
-		if o.compact {
-			return snapshot.Corruptf("apsp: float64 AP table in a compact snapshot")
+		if o.A, err = DecodeTable(ad); err != nil {
+			return fmt.Errorf("apsp: AP table: %w", err)
 		}
+	} else {
 		o.A = ad.F64s()
-		aLen = len(o.A)
-	case tableKindF32:
-		if !o.compact {
-			return snapshot.Corruptf("apsp: float32 AP table in a non-compact snapshot")
-		}
-		o.a32 = ad.F32s()
-		aLen = len(o.a32)
-	default:
-		return snapshot.Corruptf("apsp: unknown AP table kind %d", kind)
 	}
 	has := ad.U32()
 	if err := ad.Err(); err != nil {
 		return err
 	}
-	if aLen != o.numA*o.numA {
-		return snapshot.Corruptf("apsp: AP table has %d entries for a=%d", aLen, o.numA)
+	if len(o.A) != o.numA*o.numA {
+		return snapshot.Corruptf("apsp: AP table has %d entries for a=%d", len(o.A), o.numA)
 	}
 	if (has == 1) != (o.numA > 0) {
 		return snapshot.Corruptf("apsp: AP graph flag %d with a=%d", has, o.numA)

@@ -176,88 +176,6 @@ func TestUnionFindProperty(t *testing.T) {
 	}
 }
 
-func TestBucketQueue(t *testing.T) {
-	q := NewBucketQueue(10)
-	q.Push(1, 5)
-	q.Push(2, 3)
-	q.Push(3, 5)
-	if q.Len() != 3 {
-		t.Fatal("len wrong")
-	}
-	if item, key := q.Pop(); item != 2 || key != 3 {
-		t.Fatalf("pop got (%d,%d)", item, key)
-	}
-	q.Push(4, 7)
-	got := map[int32]bool{}
-	_, k1 := popBoth(q, got)
-	_, k2 := popBoth(q, got)
-	if k1 != 5 || k2 != 5 || !got[1] || !got[3] {
-		t.Fatal("key-5 items wrong")
-	}
-	if item, key := q.Pop(); item != 4 || key != 7 {
-		t.Fatal("final pop wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pop on empty should panic")
-		}
-	}()
-	q.Pop()
-}
-
-func popBoth(q *BucketQueue, got map[int32]bool) (int32, int) {
-	i, k := q.Pop()
-	got[i] = true
-	return i, k
-}
-
-func TestBucketQueueNonMonotonePushClamps(t *testing.T) {
-	q := NewBucketQueue(10)
-	q.Push(0, 5)
-	if item, key := q.Pop(); item != 0 || key != 5 {
-		t.Fatalf("pop got (%d,%d)", item, key)
-	}
-	// A key below the current minimum (float-truncation artifact in Dial)
-	// must not panic: it is clamped to the minimum and popped there.
-	q.Push(1, 2)
-	if item, key := q.Pop(); item != 1 || key != 5 {
-		t.Fatalf("clamped pop got (%d,%d), want (1,5)", item, key)
-	}
-	// A key past the declared maximum grows the bucket array.
-	q.Push(2, 25)
-	if item, key := q.Pop(); item != 2 || key != 25 {
-		t.Fatalf("grown pop got (%d,%d), want (2,25)", item, key)
-	}
-}
-
-// Adversarial float keys: simulate Dial-style int(d) truncation where
-// accumulated near-integral sums round down below the settled minimum.
-// The queue must stay panic-free and drain every item.
-func TestBucketQueueAdversarialFloatKeys(t *testing.T) {
-	q := NewBucketQueue(4)
-	weights := []float64{0.1, 0.2, 0.30000000000000004, 0.7999999999999999}
-	d := 0.0
-	pushed := 0
-	for i, w := range weights {
-		d += w
-		// int() truncates; chains like 0.1+0.2 produce keys that lag the
-		// exact sum and can fall below an already-popped bucket.
-		q.Push(int32(i), int(d))
-		pushed++
-		if i == 1 {
-			q.Pop() // advance cur past the early buckets
-			pushed--
-		}
-	}
-	for pushed > 0 {
-		q.Pop()
-		pushed--
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
-	}
-}
-
 func TestChunkedListAppendScan(t *testing.T) {
 	l := NewChunkedList(4)
 	for i := uint32(0); i < 10; i++ {

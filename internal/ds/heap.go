@@ -1,7 +1,6 @@
 // Package ds provides the low-level data structures shared by the shortest
 // path and minimum cycle basis engines: an indexed binary heap for Dijkstra,
-// a monotone bucket queue for small integer weights, a union-find structure,
-// and the hybrid chunked list the paper uses to store candidate cycles
+// a union-find structure, and the hybrid chunked list the paper uses to store candidate cycles
 // (Section 3.3.2).
 package ds
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
@@ -15,11 +14,6 @@ import (
 // planFormatVersion is the version of the plan manifest payload layout,
 // checked independently of the container's own version.
 const planFormatVersion = 1
-
-const (
-	tableKindF64 = 0
-	tableKindF32 = 1
-)
 
 // Plan is the cluster's source of truth: which shard owns each block of
 // the block-cut forest, plus the boundary state the frontend needs to
@@ -40,10 +34,6 @@ type Plan struct {
 	Epoch uint64
 	// NumShards is how many shards the plan assigns blocks across.
 	NumShards int32
-	// Compact records the table precision of the oracle the plan was cut
-	// from: the AP table here (and the S^r tables in the shard
-	// snapshots) are float32 when set.
-	Compact bool
 	// NumVertices is the full graph's vertex count n.
 	NumVertices int
 	// CutVertices lists the articulation points by AP index, exactly as
@@ -62,10 +52,8 @@ type Plan struct {
 	// BlockShard assigns each block to its owning shard.
 	BlockShard []int32
 
-	// The AP table in its stored precision (exactly one non-nil unless
-	// the graph has no articulation points).
-	apF64 []graph.Weight
-	apF32 []float32
+	// ap is the a×a articulation-point table, copied from the oracle.
+	ap []graph.Weight
 
 	// Derived at load, never serialised.
 	numA      int
@@ -102,19 +90,8 @@ func (p *Plan) ShardBlockCount(shard int32) int {
 	return n
 }
 
-// apAt reads the AP table in either precision — the exact replica of the
-// oracle's apAt, including the compact read rule that stored +Inf
-// (anything above MaxFloat32) restores the exact Inf sentinel.
-func (p *Plan) apAt(i, j int32) graph.Weight {
-	if p.apF32 != nil {
-		v := p.apF32[int(i)*p.numA+int(j)]
-		if v > math.MaxFloat32 {
-			return inf
-		}
-		return graph.Weight(v)
-	}
-	return p.apF64[int(i)*p.numA+int(j)]
-}
+// apAt reads the AP table — the exact replica of the oracle's apAt.
+func (p *Plan) apAt(i, j int32) graph.Weight { return p.ap[int(i)*p.numA+int(j)] }
 
 // PlanOptions configures PlanShards.
 type PlanOptions struct {
@@ -168,23 +145,17 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 
 	p := &Plan{
 		NumShards:   int32(opts.Shards),
-		Compact:     o.Compact(),
 		NumVertices: o.G.NumVertices(),
 		CutVertices: append([]int32(nil), o.BCT.CutVertices...),
 		BlockOf:     append([]int32(nil), o.BCT.BlockOf...),
 		BlockCuts:   make([][]int32, numB),
 		BlockVerts:  make([][]int32, numB),
 		BlockShard:  assign,
+		ap:          append([]graph.Weight(nil), o.APTableRaw()...),
 	}
 	for b := 0; b < numB; b++ {
 		p.BlockCuts[b] = append([]int32(nil), o.BCT.BlockCuts[b]...)
 		p.BlockVerts[b] = append([]int32(nil), o.Blocks[b].Sub.ToParentVertex...)
-	}
-	a64, a32 := o.APTableRaw()
-	if p.Compact {
-		p.apF32 = append([]float32(nil), a32...)
-	} else {
-		p.apF64 = append([]graph.Weight(nil), a64...)
 	}
 	if err := p.derive(); err != nil {
 		return nil, err
@@ -229,11 +200,7 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 	md.U64(uint64(p.NumVertices))
 	md.U64(uint64(len(p.BlockShard)))
 	md.U64(uint64(len(p.CutVertices)))
-	var flags uint32
-	if p.Compact {
-		flags |= 1
-	}
-	md.U32(flags)
+	md.U32(0) // flags
 
 	sw.Section("assign").I32s(p.BlockShard)
 
@@ -245,14 +212,7 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 		be.I32s(p.BlockVerts[b])
 	}
 
-	at := sw.Section("aptable")
-	if p.Compact {
-		at.U32(tableKindF32)
-		at.F32s(p.apF32)
-	} else {
-		at.U32(tableKindF64)
-		at.F64s(p.apF64)
-	}
+	apsp.EncodeTable(sw.Section("aptable"), p.ap)
 
 	return sw.WriteTo(w)
 }
@@ -290,10 +250,9 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(1) != 0 {
-		return nil, snapshot.Corruptf("shard: unknown plan flags %#x", flags)
+	if err := apsp.CheckTableFlags(flags); err != nil {
+		return nil, fmt.Errorf("shard: plan: %w", err)
 	}
-	p.Compact = flags&1 != 0
 	if p.Epoch == 0 {
 		return nil, snapshot.Corruptf("shard: plan epoch 0")
 	}
@@ -366,34 +325,14 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var tlen int
-	switch kind := at.U32(); kind {
-	case tableKindF64:
-		if at.Err() == nil && p.Compact {
-			return nil, snapshot.Corruptf("shard: float64 AP table in a compact plan")
-		}
-		p.apF64 = at.F64s()
-		tlen = len(p.apF64)
-	case tableKindF32:
-		if at.Err() == nil && !p.Compact {
-			return nil, snapshot.Corruptf("shard: float32 AP table in a non-compact plan")
-		}
-		p.apF32 = at.F32s()
-		tlen = len(p.apF32)
-	default:
-		if err := at.Err(); err != nil {
-			return nil, err
-		}
-		return nil, snapshot.Corruptf("shard: unknown AP table kind %d", kind)
-	}
-	if err := at.Err(); err != nil {
-		return nil, err
+	if p.ap, err = apsp.DecodeTable(at); err != nil {
+		return nil, fmt.Errorf("shard: plan AP table: %w", err)
 	}
 	if err := at.Finish(); err != nil {
 		return nil, err
 	}
-	if uint64(tlen) != numA*numA {
-		return nil, snapshot.Corruptf("shard: AP table holds %d entries for a=%d", tlen, numA)
+	if uint64(len(p.ap)) != numA*numA {
+		return nil, snapshot.Corruptf("shard: AP table holds %d entries for a=%d", len(p.ap), numA)
 	}
 
 	if err := p.derive(); err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadPlan: %v", err)
 	}
-	if q.Epoch != p.Epoch || q.NumShards != p.NumShards || q.Compact != p.Compact ||
+	if q.Epoch != p.Epoch || q.NumShards != p.NumShards ||
 		q.NumVertices != p.NumVertices {
 		t.Fatalf("header mismatch: %+v vs %+v", q, p)
 	}
@@ -240,5 +241,89 @@ func TestReadPlanVersionSkew(t *testing.T) {
 	}
 	if !errors.Is(err, snapshot.ErrChecksum) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("err = %v, want a snapshot sentinel", err)
+	}
+}
+
+// Flag and kind words of the removed float32 table mode, for hand-rolled
+// payloads.
+const (
+	legacyCompactFlag = 1
+	kindF64           = 0
+	legacyKindF32     = 1
+)
+
+// planPayload hand-rolls a plan manifest with a chosen flags word and
+// AP-table kind tag. Float32 tables use the removed compact mode's
+// layout: a u64 count, then one u32 per entry.
+func planPayload(t *testing.T, p *Plan, flags, kind uint32) []byte {
+	t.Helper()
+	sw := snapshot.NewWriter()
+	md := sw.Section("plan")
+	md.U32(planFormatVersion)
+	md.U64(p.Epoch)
+	md.I32(p.NumShards)
+	md.U64(uint64(p.NumVertices))
+	md.U64(uint64(len(p.BlockShard)))
+	md.U64(uint64(len(p.CutVertices)))
+	md.U32(flags)
+	sw.Section("assign").I32s(p.BlockShard)
+	be := sw.Section("bct")
+	be.I32s(p.CutVertices)
+	be.I32s(p.BlockOf)
+	for b := range p.BlockShard {
+		be.I32s(p.BlockCuts[b])
+		be.I32s(p.BlockVerts[b])
+	}
+	at := sw.Section("aptable")
+	at.U32(kind)
+	if kind == legacyKindF32 {
+		at.U64(uint64(len(p.ap)))
+		for _, v := range p.ap {
+			at.U32(math.Float32bits(float32(v)))
+		}
+	} else {
+		at.F64s(p.ap)
+	}
+	var buf bytes.Buffer
+	if _, err := sw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadPlanRejectsFloat32: a manifest cut from a float32-table oracle
+// (compact flag, float32 AP table) fails as version skew and does not
+// panic; unknown flags and kinds stay corruption; the float64 hand-roll
+// is byte-identical to WriteTo.
+func TestReadPlanRejectsFloat32(t *testing.T) {
+	p, err := PlanShards(apsp.NewOracle(testGraph()), PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatalf("PlanShards: %v", err)
+	}
+	if p.NumAPs() == 0 {
+		t.Fatal("test graph has no articulation points")
+	}
+	var written bytes.Buffer
+	if _, err := p.WriteTo(&written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(planPayload(t, p, 0, kindF64), written.Bytes()) {
+		t.Fatal("hand-rolled float64 plan differs from WriteTo")
+	}
+	for _, tc := range []struct {
+		name        string
+		flags, kind uint32
+		want        error
+	}{
+		{"compact-float32", legacyCompactFlag, legacyKindF32, snapshot.ErrVersionSkew},
+		{"float32-table", 0, legacyKindF32, snapshot.ErrVersionSkew},
+		{"compact-flag", legacyCompactFlag, kindF64, snapshot.ErrVersionSkew},
+		{"unknown-flag", 1 << 1, kindF64, snapshot.ErrCorrupt},
+		{"unknown-kind", 0, 7, snapshot.ErrCorrupt},
+	} {
+		q, err := ReadPlan(bytes.NewReader(planPayload(t, p, tc.flags, tc.kind)))
+		if q != nil || !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadPlan = %v, %v; want %v", tc.name, q, err, tc.want)
+		}
 	}
 }

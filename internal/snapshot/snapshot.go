@@ -230,9 +230,6 @@ func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 // F64 appends a float64 by bit pattern.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// F32 appends a float32 by bit pattern (compact distance tables).
-func (e *Encoder) F32(v float32) { e.U32(math.Float32bits(v)) }
-
 // I32s appends a length-prefixed int32 slice.
 func (e *Encoder) I32s(s []int32) {
 	e.U64(uint64(len(s)))
@@ -246,14 +243,6 @@ func (e *Encoder) F64s(s []float64) {
 	e.U64(uint64(len(s)))
 	for _, v := range s {
 		e.F64(v)
-	}
-}
-
-// F32s appends a length-prefixed float32 slice.
-func (e *Encoder) F32s(s []float32) {
-	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.F32(v)
 	}
 }
 
@@ -363,9 +352,6 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// F32 reads a float32.
-func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
-
 // Count reads a u64 element count and validates it against the bytes
 // actually remaining (each element occupying at least elemBytes), so a
 // corrupt count can never drive a huge allocation.
@@ -406,19 +392,6 @@ func (d *Decoder) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.F64()
-	}
-	return out
-}
-
-// F32s reads a length-prefixed float32 slice.
-func (d *Decoder) F32s() []float32 {
-	n := d.Count(4)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = d.F32()
 	}
 	return out
 }

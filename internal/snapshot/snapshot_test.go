@@ -193,61 +193,6 @@ func TestU8RoundTrip(t *testing.T) {
 	}
 }
 
-// TestF32RoundTrip covers the compact-table primitives: exact bit
-// round-trip including the infinities the float32 distance tables use as
-// their unreachable sentinel.
-func TestF32RoundTrip(t *testing.T) {
-	w := NewWriter()
-	e := w.Section("f32")
-	e.F32(1.5)
-	e.F32s([]float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32})
-	e.F32s(nil)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	d, err := r.Section("f32")
-	if err != nil {
-		t.Fatalf("Section: %v", err)
-	}
-	if got := d.F32(); got != 1.5 {
-		t.Errorf("F32 = %v", got)
-	}
-	s := d.F32s()
-	want := []float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32}
-	if len(s) != len(want) {
-		t.Fatalf("F32s len = %d", len(s))
-	}
-	for i := range want {
-		if math.Float32bits(s[i]) != math.Float32bits(want[i]) {
-			t.Errorf("F32s[%d] = %v, want %v", i, s[i], want[i])
-		}
-	}
-	if got := d.F32s(); len(got) != 0 {
-		t.Errorf("nil F32s decoded to %v", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	// A truncated f32 slice is the sticky typed error, not a panic.
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if r2, err := NewReader(bytes.NewReader(trunc)); err == nil {
-		d2, err := r2.Section("f32")
-		if err == nil {
-			d2.F32()
-			d2.F32s()
-			d2.F32s()
-			if d2.Err() == nil && d2.Finish() == nil {
-				t.Fatal("truncated container decoded cleanly")
-			}
-		}
-	}
-}
-
 func TestStrRoundTrip(t *testing.T) {
 	w := NewWriter()
 	e := w.Section("strs")

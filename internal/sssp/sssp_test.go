@@ -208,3 +208,28 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	}
 	_ = d1
 }
+
+func TestBFSMatchesDijkstraUnitWeights(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 1}
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := gen.NewRNG(seed + 70)
+		g := gen.GNM(20+rng.Intn(50), 40+rng.Intn(100), cfg, rng)
+		if !UnitWeights(g) {
+			t.Fatal("generator should emit unit weights at MaxWeight 1")
+		}
+		for src := int32(0); src < int32(g.NumVertices()); src += 4 {
+			want := Dijkstra(g, src, nil)
+			got := BFS(g, src)
+			for v := range want.Dist {
+				if got.Dist[v] != want.Dist[v] {
+					t.Fatalf("seed %d: BFS dist[%d] = %v, want %v", seed, v, got.Dist[v], want.Dist[v])
+				}
+			}
+		}
+	}
+	b := graph.NewBuilder(2)
+	b.AddEdge(0, 1, 2)
+	if UnitWeights(b.Build()) {
+		t.Fatal("weight-2 graph reported as unit")
+	}
+}

@@ -19,12 +19,13 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/apsp"
 	"repro/internal/bc"
-	"repro/internal/core"
 	"repro/internal/ear"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -90,11 +91,27 @@ type (
 	ReducedGraph = ear.Reduced
 )
 
-// EarDecompose returns the ears of a biconnected graph.
-func EarDecompose(g *Graph) ([]EarDecompositionEar, error) { return core.EarDecomposition(g) }
+// errNilGraph is returned by every facade entry point handed a nil graph.
+var errNilGraph = errors.New("repro: nil graph")
 
-// ReduceGraph contracts all maximal degree-2 chains of g (APSP mode).
-func ReduceGraph(g *Graph) (*ReducedGraph, error) { return core.Reduce(g) }
+// EarDecompose returns the ears of a biconnected graph, or an error if the
+// graph is not biconnected (an ear decomposition exists iff the graph is
+// two-edge-connected).
+func EarDecompose(g *Graph) ([]EarDecompositionEar, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
+	return ear.Decompose(g)
+}
+
+// ReduceGraph contracts all maximal degree-2 chains of g (APSP mode:
+// parallel chains collapse to the cheapest).
+func ReduceGraph(g *Graph) (*ReducedGraph, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
+	return ear.Reduce(g, ear.APSP), nil
+}
 
 // All-pairs shortest paths.
 type (
@@ -106,17 +123,9 @@ type (
 // APSPOptions configures oracle construction. The zero value is usable:
 // zero Workers selects GOMAXPROCS.
 type APSPOptions struct {
-	// Workers is the parallelism of the per-block processing phase
-	// (0 = GOMAXPROCS).
+	// Workers is the parallelism of the per-block processing phase and
+	// the articulation-point table sweep (0 = GOMAXPROCS).
 	Workers int
-	// Compact32 stores the oracle's distance tables (per-block S^r and the
-	// articulation table) as float32, halving table memory. Distances are
-	// still computed in float64 and rounded once, so each stored entry
-	// carries at most one float32 rounding (relative error ≤ 2⁻²⁴) and a
-	// query that sums a few table entries stays within ~1e-6 relative
-	// error; unreachability (infinite distance) is preserved exactly.
-	// Snapshots of compact oracles record the mode and restore it.
-	Compact32 bool
 }
 
 // ShortestPathsOpts builds the APSP oracle with explicit options. It is a
@@ -132,7 +141,14 @@ func ShortestPathsOpts(g *Graph, opts APSPOptions) (*APSPOracle, error) {
 // Dijkstra units inside each, so cancelling the context or hitting its
 // deadline abandons the build promptly and returns the context error.
 func ShortestPathsCtx(ctx context.Context, g *Graph, opts APSPOptions) (*APSPOracle, error) {
-	return core.ShortestPathsWith(ctx, g, apsp.Options{Workers: opts.Workers, Compact32: opts.Compact32})
+	if g == nil {
+		return nil, errNilGraph
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = hetero.Workers()
+	}
+	return apsp.NewOracleParallelCtx(ctx, g, workers)
 }
 
 // ShortestPaths builds the APSP oracle with the given parallelism
@@ -485,7 +501,9 @@ var (
 
 // MinimumCycleBasis computes an MCB with the ear reduction enabled. It is
 // a thin wrapper over MinimumCycleBasisCtx with a background context.
-func MinimumCycleBasis(g *Graph) (*MCBResult, error) { return core.MinimumCycleBasis(g) }
+func MinimumCycleBasis(g *Graph) (*MCBResult, error) {
+	return MinimumCycleBasisCtx(context.Background(), g)
+}
 
 // MinimumCycleBasisCtx computes an MCB with the ear reduction enabled,
 // honouring ctx: the pipeline checks the context between biconnected
@@ -494,19 +512,31 @@ func MinimumCycleBasis(g *Graph) (*MCBResult, error) { return core.MinimumCycleB
 // mid-flight. On cancellation the error wraps ctx.Err() (errors.Is with
 // context.Canceled / context.DeadlineExceeded).
 func MinimumCycleBasisCtx(ctx context.Context, g *Graph) (*MCBResult, error) {
-	return core.MinimumCycleBasisCtx(ctx, g)
+	return MinimumCycleBasisOptsCtx(ctx, g, MCBOptions{UseEar: true, Workers: hetero.Workers()})
 }
 
 // MinimumCycleBasisOpts computes an MCB with explicit options. It is a
 // thin wrapper over MinimumCycleBasisOptsCtx with a background context.
 func MinimumCycleBasisOpts(g *Graph, opts MCBOptions) (*MCBResult, error) {
-	return core.MinimumCycleBasisOpts(g, opts)
+	return MinimumCycleBasisOptsCtx(context.Background(), g, opts)
 }
 
 // MinimumCycleBasisOptsCtx is MinimumCycleBasisOpts under ctx, with the
 // same cancellation contract as MinimumCycleBasisCtx.
+// The returned basis is checked against the cycle-space dimension
+// m − n + c before it is handed out.
 func MinimumCycleBasisOptsCtx(ctx context.Context, g *Graph, opts MCBOptions) (*MCBResult, error) {
-	return core.MinimumCycleBasisOptsCtx(ctx, g, opts)
+	if g == nil {
+		return nil, errNilGraph
+	}
+	res, err := mcb.ComputeCtx(ctx, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	if want := mcb.Dim(g); res.Dim != want {
+		return nil, fmt.Errorf("repro: internal error: basis dimension %d, want %d", res.Dim, want)
+	}
+	return res, nil
 }
 
 // Generators (for experimentation and tests).

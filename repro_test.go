@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mcb"
 	"repro/internal/shard"
+	"repro/internal/sssp"
 )
 
 // TestFacadeEndToEnd exercises the public surface the README documents:
@@ -69,14 +70,66 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeEarDecompose(t *testing.T) {
-	rng := NewRNG(4)
-	g := gen.Ring(8, GenConfig{MaxWeight: 3}, rng)
-	ears, err := EarDecompose(g)
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{8, 4}, {15, 7}} {
+		g := gen.Ring(tc.n, GenConfig{MaxWeight: 3}, NewRNG(tc.seed))
+		ears, err := EarDecompose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ears) != 1 {
+			t.Fatalf("%d-ring should be one ear, got %d", tc.n, len(ears))
+		}
+		// A ring reduces to a single kept vertex.
+		red, err := ReduceGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if red.NumRemoved() != tc.n-1 {
+			t.Fatalf("%d-ring reduction removed %d", tc.n, red.NumRemoved())
+		}
+	}
+}
+
+// TestFacadeShortestPathsMatchesBellmanFord checks the facade oracle on a
+// subdivided random graph against Bellman–Ford from one source.
+func TestFacadeShortestPathsMatchesBellmanFord(t *testing.T) {
+	cfg := GenConfig{MaxWeight: 7}
+	rng := NewRNG(5)
+	g := gen.Subdivide(gen.GNM(25, 45, cfg, rng), 0.5, 2, cfg, rng)
+	o, err := ShortestPaths(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ears) != 1 {
-		t.Fatalf("ring should be one ear, got %d", len(ears))
+	ref := sssp.BellmanFord(g, 0)
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		if o.Query(0, v) != ref[v] {
+			t.Fatalf("d(0,%d) = %v, Bellman–Ford %v", v, o.Query(0, v), ref[v])
+		}
+	}
+}
+
+// TestFacadeMCBOptionVariantsAgree: the default (ear-reduced) basis and
+// the unreduced multicore one have the cycle-space dimension and the same
+// total weight on a random graph.
+func TestFacadeMCBOptionVariantsAgree(t *testing.T) {
+	cfg := GenConfig{MaxWeight: 5}
+	g := gen.GNM(20, 32, cfg, NewRNG(6))
+	res, err := MinimumCycleBasis(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dim != mcb.Dim(g) {
+		t.Fatalf("dim %d, want %d", res.Dim, mcb.Dim(g))
+	}
+	res2, err := MinimumCycleBasisOpts(g, MCBOptions{UseEar: false, Platform: mcb.Multicore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalWeight != res2.TotalWeight {
+		t.Fatalf("option variants disagree on weight: %v vs %v", res.TotalWeight, res2.TotalWeight)
 	}
 }
 
