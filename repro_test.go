@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,26 +71,34 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeEarDecompose(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		seed uint64
-	}{{8, 4}, {15, 7}} {
-		g := gen.Ring(tc.n, GenConfig{MaxWeight: 3}, NewRNG(tc.seed))
-		ears, err := EarDecompose(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ears) != 1 {
-			t.Fatalf("%d-ring should be one ear, got %d", tc.n, len(ears))
-		}
-		// A ring reduces to a single kept vertex.
-		red, err := ReduceGraph(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if red.NumRemoved() != tc.n-1 {
-			t.Fatalf("%d-ring reduction removed %d", tc.n, red.NumRemoved())
-		}
+	rng := NewRNG(4)
+	g := gen.Ring(8, GenConfig{MaxWeight: 3}, rng)
+	ears, err := EarDecompose(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ears) != 1 {
+		t.Fatalf("ring should be one ear, got %d", len(ears))
+	}
+}
+
+// TestFacadeReduceAndEars: a 15-ring reduces to one kept vertex (14
+// removed) and decomposes into a single ear.
+func TestFacadeReduceAndEars(t *testing.T) {
+	ring := gen.Ring(15, GenConfig{MaxWeight: 3}, NewRNG(7))
+	red, err := ReduceGraph(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.NumRemoved() != 14 {
+		t.Fatalf("ring reduction removed %d", red.NumRemoved())
+	}
+	ears, err := EarDecompose(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ears) != 1 {
+		t.Fatalf("ring has %d ears", len(ears))
 	}
 }
 
@@ -145,6 +154,30 @@ func TestFacadeNilGraphErrors(t *testing.T) {
 	}
 	if _, err := EarDecompose(nil); err == nil {
 		t.Fatal("nil graph should error")
+	}
+}
+
+// TestFacadeNilInputs: the nil-graph check sits in ShortestPathsCtx and
+// MinimumCycleBasisOptsCtx; every option and context variant that routes
+// through them returns errNilGraph.
+func TestFacadeNilInputs(t *testing.T) {
+	ctx := context.Background()
+	for name, call := range map[string]func() error{
+		"ShortestPathsOpts":    func() error { _, err := ShortestPathsOpts(nil, APSPOptions{Workers: 1}); return err },
+		"ShortestPathsCtx":     func() error { _, err := ShortestPathsCtx(ctx, nil, APSPOptions{Workers: 1}); return err },
+		"MinimumCycleBasisCtx": func() error { _, err := MinimumCycleBasisCtx(ctx, nil); return err },
+		"MinimumCycleBasisOpts": func() error {
+			_, err := MinimumCycleBasisOpts(nil, MCBOptions{UseEar: true, Platform: mcb.Multicore})
+			return err
+		},
+		"MinimumCycleBasisOptsCtx": func() error {
+			_, err := MinimumCycleBasisOptsCtx(ctx, nil, MCBOptions{UseEar: false, Platform: mcb.GPU})
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, errNilGraph) {
+			t.Fatalf("%s(nil) = %v, want errNilGraph", name, err)
+		}
 	}
 }
 
